@@ -476,7 +476,12 @@ class FTree:
 
     def expected_flow(self, include_query: bool = False) -> float:
         """Return the expected information flow towards Q of the selected subgraph."""
-        reach = self.reachability_to_query()
+        return self.flow_from_reachability(self.reachability_to_query(), include_query)
+
+    def flow_from_reachability(
+        self, reach: Dict[VertexId, float], include_query: bool = False
+    ) -> float:
+        """Return the flow ``sum(reach[v] * W(v))`` of a :meth:`reachability_to_query` map."""
         total = 0.0
         for vertex, probability in reach.items():
             if vertex == self.query:

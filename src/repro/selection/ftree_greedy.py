@@ -1,9 +1,16 @@
 """Greedy edge selection on top of the F-tree (FT, FT+M, FT+M+CI, FT+M+DS).
 
-The selector probes every candidate edge by cloning the current F-tree,
-inserting the edge and evaluating the resulting expected flow; the edge
-with the highest flow is committed (Section 6.1).  Three optional
-heuristics reduce the per-iteration work:
+Each round scores every candidate edge by the expected flow of the
+F-tree with that edge inserted, and commits the edge with the highest
+flow (Section 6.1).  A candidate that closes a cycle is probed: the
+current F-tree is cloned, the edge inserted and the flow re-evaluated.
+A *frontier* candidate ``(a, v)``, whose endpoint ``v`` is not yet
+connected, only hangs ``v`` below ``a``; by Theorem 2 it adds exactly
+``p(a, v) * reach(a -> Q) * W(v)`` to the committed tree's flow.  Once
+the committed tree has nothing left to estimate, such a candidate is
+answered from that gain and skipped when it provably loses to the best
+flow found so far; selections are the same as if it had been probed.
+Three optional heuristics reduce the per-iteration work further:
 
 * **Memoization (M, Section 6.2)** — bi-connected component estimates
   are cached by component content, so probing the same cycle twice costs
@@ -20,6 +27,7 @@ heuristics reduce the per-iteration work:
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.ftree.ftree import FTree
@@ -80,6 +88,16 @@ class FTreeGreedySelector(EdgeSelector):
         ``(seed, n_samples, shard_size)``.
     shard_size:
         Worlds per shard for the executor path.
+
+    Notes
+    -----
+    ``SelectionResult.extras["frontier_skipped"]`` counts the frontier
+    candidates answered by the Theorem 2 gain instead of a probe (see
+    :class:`_FrontierBound`).  They still count as probed in the
+    per-iteration ``candidates_probed``.  A skipped candidate looks up no
+    memoized component, so ``memo_hits`` and ``memo_hit_rate`` count only
+    the lookups the remaining probes really make: they drop with no loss
+    of reuse.
     """
 
     def __init__(
@@ -159,6 +177,7 @@ class FTreeGreedySelector(EdgeSelector):
         current_flow = 0.0
         total_pruned = 0
         total_delayed = 0
+        total_skipped = 0
 
         for index in range(budget):
             if not candidates.has_candidates():
@@ -166,15 +185,17 @@ class FTreeGreedySelector(EdgeSelector):
             iteration_watch = Stopwatch()
             sampler.begin_round(index)
             screening_sampler.begin_round(index)
+            frontier = _FrontierBound(ftree, self.include_query)
             outcome = self._probe_candidates(
-                ftree, candidates, delays, screening_sampler
+                ftree, candidates, delays, screening_sampler, frontier
             )
             if outcome is None and delays:
                 # every candidate was suspended: clear the delays and retry
                 delays.clear()
                 outcome = self._probe_candidates(
-                    ftree, candidates, delays, screening_sampler
+                    ftree, candidates, delays, screening_sampler, frontier
                 )
+            total_skipped += frontier.skipped
             if outcome is None:
                 break
             best_edge, best_flow, probe_info, probed, pruned, skipped = outcome
@@ -209,6 +230,7 @@ class FTreeGreedySelector(EdgeSelector):
             "sampled_edges": float(sampler.sampled_edges),
             "pruned_candidates": float(total_pruned),
             "delayed_candidates": float(total_delayed),
+            "frontier_skipped": float(total_skipped),
         }
         if memo is not None:
             extras["memo_hits"] = float(memo.hits)
@@ -231,6 +253,7 @@ class FTreeGreedySelector(EdgeSelector):
         candidates: CandidateManager,
         delays: Dict[Edge, int],
         screening_sampler: ComponentSampler,
+        frontier: "_FrontierBound",
     ) -> Optional[Tuple[Edge, float, Dict[Edge, Tuple[float, int]], int, int, int]]:
         """Probe the current candidates and return the best edge.
 
@@ -238,6 +261,8 @@ class FTreeGreedySelector(EdgeSelector):
         The returned tuple is ``(best edge, best flow, per-edge probe
         info, probed count, pruned count, delayed count)`` where probe
         info maps each probed edge to ``(flow estimate, sampling cost)``.
+        Frontier candidates that ``frontier`` shows to lose are not
+        cloned; they count as probed, with their exact gain and cost 0.
         """
         best_edge: Optional[Edge] = None
         best_flow = float("-inf")
@@ -253,6 +278,12 @@ class FTreeGreedySelector(EdgeSelector):
                 skipped += 1
                 continue
             probed += 1
+            if best_edge is not None:
+                losing_flow = frontier.losing_flow(edge, best_flow)
+                if losing_flow is not None:
+                    # its probe would cost 0: never screened, never delayed
+                    probe_info[edge] = (losing_flow, 0)
+                    continue
             probe = ftree.clone()
             probe.insert_edge(edge.u, edge.v)
             cost = probe.pending_estimation_cost()
@@ -308,3 +339,83 @@ class FTreeGreedySelector(EdgeSelector):
                 delay = int(math.floor(math.log(cost / potential, self.delay_base)))
             if delay > 0:
                 delays[edge] = delay
+
+
+class _FrontierBound:
+    """Flow of frontier probes read off the committed F-tree (Theorem 2).
+
+    A candidate ``(a, v)`` with exactly one connected endpoint ``a``
+    attaches ``v`` as a dead end (Case IIa/IIb): no bi component is
+    created or invalidated, so the probe's flow is the committed flow
+    plus ``p(a, v) * reach(a -> Q) * W(v)``.  While the committed tree's
+    :meth:`~repro.ftree.ftree.FTree.pending_estimation_cost` is 0 such a
+    probe samples nothing and draws no random number, CI never screens it
+    and DS never delays it, so skipping a provable loser changes no
+    sampler call, no stream and no running best.
+
+    One instance serves one selection round, during which the committed
+    tree does not change.  Its reachability comes from one throwaway
+    clone, built on first use once the cost is 0; that clone only reads
+    memoized estimates.  Selections are identical to probing every
+    candidate as long as the memo cache evicts nothing: skipped probes
+    make no lookups, so they leave the cache's LRU order different, and
+    that order decides what an eviction drops.
+    """
+
+    def __init__(self, ftree: FTree, include_query: bool) -> None:
+        self._ftree = ftree
+        self._include_query = include_query
+        self._checked_memo_size: Optional[int] = None
+        self._reach: Optional[Dict[VertexId, float]] = None
+        self._base_flow = 0.0
+        self._relative_margin = 0.0
+        #: candidates answered by the bound instead of a probe
+        self.skipped = 0
+
+    def _ready(self) -> bool:
+        if self._reach is not None:
+            return True
+        # the committed tree is fixed within the round, so only memo growth
+        # can bring its estimation cost down: re-check after growth only
+        memo = self._ftree.sampler.memo
+        memo_size = len(memo) if memo is not None else 0
+        if memo_size == self._checked_memo_size:
+            return False
+        self._checked_memo_size = memo_size
+        if self._ftree.pending_estimation_cost() > 0:
+            return False
+        base = self._ftree.clone()
+        self._reach = base.reachability_to_query()
+        self._base_flow = base.flow_from_reachability(self._reach, self._include_query)
+        # Rounding margin.  Each old vertex's reach is the same product in
+        # the probe as here, so the probe's flow and base + gain differ by
+        # summation order and the gain's own rounding only.  Summing m
+        # non-negative terms errs by at most (m - 1) * u * flow (u = eps / 2).
+        # With n = len(reach) (Q included), the probe sums n + 1 terms (the
+        # n - 1 other old vertices, v and W(Q)) and the base n, and the gain
+        # is rounded at most 6 times, so the two differ by under
+        # (n + 3) * eps * flow.  Four times that covers second-order terms.
+        self._relative_margin = 4.0 * (len(self._reach) + 3) * sys.float_info.epsilon
+        return True
+
+    def losing_flow(self, edge: Edge, best_flow: float) -> Optional[float]:
+        """Return the flow of probing ``edge`` if it provably loses to ``best_flow``.
+
+        ``None`` means the candidate must be probed: it is no frontier
+        edge, the committed tree still has components to estimate, or its
+        flow comes within the rounding margin of ``best_flow``.
+        """
+        ftree = self._ftree
+        u_connected = ftree.is_connected_vertex(edge.u)
+        if u_connected == ftree.is_connected_vertex(edge.v) or not self._ready():
+            return None
+        assert self._reach is not None
+        anchor, vertex = (edge.u, edge.v) if u_connected else (edge.v, edge.u)
+        graph = ftree.graph
+        flow = self._base_flow + (
+            graph.probability(edge) * self._reach[anchor] * graph.weight(vertex)
+        )
+        if flow >= best_flow - self._relative_margin * abs(best_flow):
+            return None
+        self.skipped += 1
+        return flow
